@@ -9,10 +9,11 @@ benchmarks can report serialization overhead directly.
 
 from __future__ import annotations
 
-import os
 import pickle
 import threading
 from typing import Any
+
+from ..knobs import read
 
 
 class PickleCodec:
@@ -20,8 +21,7 @@ class PickleCodec:
 
     def __init__(self, protocol: int | None = None) -> None:
         if protocol is None:
-            env = os.environ.get("OMBPY_PICKLE_PROTOCOL")
-            protocol = int(env) if env else pickle.HIGHEST_PROTOCOL
+            protocol = read("OMBPY_PICKLE_PROTOCOL")
         if not 0 <= protocol <= pickle.HIGHEST_PROTOCOL:
             raise ValueError(
                 f"pickle protocol {protocol} outside "

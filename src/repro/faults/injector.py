@@ -41,6 +41,7 @@ import threading
 import time
 from dataclasses import dataclass
 
+from ..knobs import read
 from ..mpi.matching import Envelope
 from ..mpi.transport.base import Transport, fault_exempt
 from .plan import FaultPlan
@@ -120,7 +121,10 @@ class FaultyTransport(Transport):
         super().__init__(inner.world_rank, inner.world_size)
         self.inner = inner
         self.plan = plan
-        self.max_hold_seconds = self._resolve_backstop(plan)
+        backstop_ms = read(ENV_BACKSTOP_MS)
+        self.max_hold_seconds = (
+            plan.backstop_ms if backstop_ms is None else backstop_ms
+        ) / 1000.0
         self.events: list[FaultEvent] = []
         self._rng = plan.rng_for(inner.world_rank)
         self._crash = plan.crashes(inner.world_rank)
@@ -132,18 +136,6 @@ class FaultyTransport(Transport):
         self._reaper: threading.Thread | None = None
 
     # -- passthrough plumbing ---------------------------------------------
-    @staticmethod
-    def _resolve_backstop(plan: FaultPlan) -> float:
-        raw = os.environ.get(ENV_BACKSTOP_MS)
-        if raw is not None:
-            value = float(raw)
-            if value <= 0:
-                raise ValueError(
-                    f"{ENV_BACKSTOP_MS} must be > 0 ms, got {raw!r}"
-                )
-            return value / 1000.0
-        return plan.backstop_ms / 1000.0
-
     def attach(self, engine) -> None:
         self.engine = engine
         self.inner.attach(engine)

@@ -8,8 +8,9 @@ ablation benchmarks use to force a particular algorithm across a sweep.
 
 from __future__ import annotations
 
-import os
 import threading
+
+from ...knobs import COLL_ALGORITHMS, raw
 
 # Switch points (bytes), modelled on common MVAPICH2/MPICH defaults.
 BCAST_SHORT_MSG = 16384          # binomial below, scatter+allgather above
@@ -21,13 +22,14 @@ REDUCE_SCATTER_SHORT_MSG = 8192  # recursive halving below, pairwise above
 
 _forced: dict[str, str] = {}
 _lock = threading.Lock()
+_ENV_NAMES = {op: f"OMBPY_COLL_{op.upper()}" for op in COLL_ALGORITHMS}
 
 
 def force(op: str, algorithm: str | None) -> None:
     """Force (or clear, with None) the algorithm used for ``op``.
 
     Used by ablation benchmarks; also settable via the environment as
-    ``OMBPY_COLL_<OP>=<algorithm>`` at import time.
+    ``OMBPY_COLL_<OP>=<algorithm>``, checked before any rank starts.
     """
     with _lock:
         if algorithm is None:
@@ -41,8 +43,7 @@ def forced(op: str) -> str | None:
     with _lock:
         if op in _forced:
             return _forced[op]
-    env = os.environ.get(f"OMBPY_COLL_{op.upper()}")
-    return env or None
+    return raw(_ENV_NAMES[op])
 
 
 #: Collectives with a topology-aware two-level implementation
@@ -110,18 +111,4 @@ def pick(op: str, nbytes: int, size: int, groups=None) -> str:
 
 def available(op: str) -> tuple[str, ...]:
     """List the algorithms implemented for ``op`` (for ablations/tests)."""
-    table = {
-        "bcast": ("binomial", "scatter_allgather", "linear", "hierarchical"),
-        "allreduce": (
-            "recursive_doubling", "ring", "reduce_bcast", "hierarchical",
-        ),
-        "allgather": ("recursive_doubling", "ring", "linear", "hierarchical"),
-        "alltoall": ("bruck", "pairwise"),
-        "reduce": ("binomial", "rabenseifner", "linear"),
-        "reduce_scatter": ("recursive_halving", "pairwise"),
-        "gather": ("binomial", "linear", "hierarchical"),
-        "scatter": ("binomial", "linear"),
-        "barrier": ("dissemination", "hierarchical"),
-        "scan": ("recursive_doubling", "linear"),
-    }
-    return table[op]
+    return COLL_ALGORITHMS[op]

@@ -25,12 +25,11 @@ exploit it live in :mod:`repro.mpi.collectives.hierarchy`.  See
 """
 
 from .budget import FdBudget, check_fd_budget, plan_fd_budget
-from .stream import LazyStreamFabric, dial_with_retry
+from .stream import LazyStreamFabric
 
 __all__ = [
     "FdBudget",
     "LazyStreamFabric",
     "check_fd_budget",
-    "dial_with_retry",
     "plan_fd_budget",
 ]

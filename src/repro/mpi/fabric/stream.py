@@ -35,8 +35,8 @@ dead peer, not a startup race.
 from __future__ import annotations
 
 import errno
+import itertools
 import logging
-import os
 import random
 import socket
 import struct
@@ -44,6 +44,8 @@ import threading
 import time
 from typing import Callable
 
+from ...backoff import backoff
+from ...knobs import read
 from ..exceptions import InternalError, RankFailedError
 from ..matching import Envelope
 from ..transport.base import (
@@ -56,11 +58,7 @@ logger = logging.getLogger(__name__)
 #: Connection preamble: the dialing side announces its world rank.
 HELLO = struct.Struct("<i")
 
-#: Open-socket budget (0 = unlimited) unless the transport overrides it.
 ENV_MAX_CONNS = "OMBPY_FABRIC_MAX_CONNS"
-#: Overall dial deadline (covers the slowest startup race: a peer whose
-#: process has not been spawned yet).
-ENV_DIAL_TIMEOUT = "OMBPY_DIAL_TIMEOUT"
 
 _DIAL_INITIAL_BACKOFF = 0.005
 _DIAL_MAX_BACKOFF = 0.25
@@ -82,42 +80,6 @@ _RETRYABLE_ERRNOS = frozenset({
 #: Upper bound on waiting for a replaced reader to drain (see
 #: ``_read_loop``); generous because it only triggers on eviction races.
 _READER_CHAIN_TIMEOUT = 30.0
-
-
-def dial_with_retry(
-    connect, timeout: float, describe: str,
-    initial_backoff: float = 0.02,
-    max_backoff: float = 1.0,
-):
-    """Call ``connect()`` until it succeeds or ``timeout`` elapses.
-
-    Retries transient connect failures (refused, timed out, reset) with
-    capped exponential backoff plus jitter.  Kept for callers that need
-    plain patience (service warm-up probes); the fabric's own dial path
-    uses the two-tier policy in :meth:`LazyStreamFabric._dial`.
-    """
-    deadline = time.monotonic() + timeout
-    backoff = initial_backoff
-    attempt = 0
-    while True:
-        attempt += 1
-        try:
-            return connect()
-        except (ConnectionError, TimeoutError, OSError) as exc:
-            err = getattr(exc, "errno", None)
-            transient = (
-                isinstance(exc, (ConnectionError, TimeoutError))
-                or err in _RETRYABLE_ERRNOS
-            )
-            if not transient or time.monotonic() >= deadline:
-                raise InternalError(
-                    f"{describe}: connect failed after {attempt} "
-                    f"attempt(s): {exc!r}"
-                ) from exc
-            # Full jitter keeps simultaneous dialers from re-colliding.
-            time.sleep(max(0.0, min(backoff, deadline - time.monotonic()))
-                       * random.uniform(0.5, 1.0))
-            backoff = min(backoff * 2, max_backoff)
 
 
 class _Channel:
@@ -161,12 +123,11 @@ class LazyStreamFabric:
         self.dialer = dialer
         self.label = label
         self.configure = configure
-        if max_open is None:
-            max_open = int(os.environ.get(ENV_MAX_CONNS, "0"))
-        self.max_open = max_open
-        if dial_timeout is None:
-            dial_timeout = float(os.environ.get(ENV_DIAL_TIMEOUT, "60"))
-        self.dial_timeout = dial_timeout
+        self.max_open = read(ENV_MAX_CONNS) if max_open is None else max_open
+        self.dial_timeout = (
+            read("OMBPY_DIAL_TIMEOUT") if dial_timeout is None
+            else dial_timeout
+        )
         self.startup_errnos = startup_errnos
 
         self._lock = threading.Lock()
@@ -345,8 +306,7 @@ class LazyStreamFabric:
         start = time.monotonic()
         deadline = start + self.dial_timeout
         refused_deadline = start + min(_REFUSED_PATIENCE, self.dial_timeout)
-        backoff = _DIAL_INITIAL_BACKOFF
-        while True:
+        for attempt in itertools.count(1):
             try:
                 return self.dialer(peer)
             except (ConnectionError, TimeoutError, OSError) as exc:
@@ -360,11 +320,10 @@ class LazyStreamFabric:
                     raise
                 if time.monotonic() >= limit:
                     raise
-                time.sleep(
-                    max(0.0, min(backoff, limit - time.monotonic()))
-                    * random.uniform(0.5, 1.0)
-                )
-                backoff = min(backoff * 2, _DIAL_MAX_BACKOFF)
+                # Jitter keeps simultaneous dialers from re-colliding.
+                delay = backoff(attempt, _DIAL_INITIAL_BACKOFF,
+                                _DIAL_MAX_BACKOFF, random, jitter=(0.5, 1.0))
+                time.sleep(max(0.0, min(delay, limit - time.monotonic())))
 
     def _adopt(
         self, peer: int, sock: socket.socket, *, inbound: bool

@@ -37,6 +37,7 @@ import sys
 import threading
 import time
 
+from ..knobs import read, validate
 from ..telemetry import ENV_METRICS, ENV_OUT, ENV_TRACE
 from .exceptions import RANK_FAILED_EXIT
 from .world import (
@@ -310,11 +311,13 @@ def spawn_ranks(
         raise ValueError(f"unknown transport {transport!r}")
     if command[0].endswith(".py"):
         command = [sys.executable] + command
+    # Every rank would parse these knobs; check them once, here.
+    validate({**os.environ, **(env_extra or {})})
 
     from .topology import ENV_GROUPS, parse_groups
 
     group_map = None
-    groups_spec = groups or os.environ.get(ENV_GROUPS)
+    groups_spec = groups or read(ENV_GROUPS)
     if groups_spec:
         group_map = parse_groups(groups_spec, n)
 
@@ -348,7 +351,7 @@ def spawn_ranks(
         if transport == "shm":
             from .transport.shm import create_job_segments, intra_group_pairs
 
-            capacity = int(os.environ.get("OMBPY_SHM_CAPACITY", 1 << 20))
+            capacity = read("OMBPY_SHM_CAPACITY")
             pairs = None
             if group_map is not None and group_map.n_groups > 1:
                 pairs = intra_group_pairs(group_map)

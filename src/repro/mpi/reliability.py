@@ -35,32 +35,29 @@ Counters (:meth:`ReliableTransport.stats`) expose what was absorbed:
 ``corrupt_dropped``, ``out_of_order``, ``acks_sent``,
 ``acks_received``, ``escalations``.
 
-Knobs (environment): ``OMBPY_RELIABLE=1`` arms the layer under
-``ombpy-run``/``init()``; ``OMBPY_REL_RTO_MS`` sets the initial
-retransmit timeout (default 50 ms, doubling to 1 s max);
-``OMBPY_REL_MAX_RETRIES`` the give-up threshold (default 8).
+Knobs (environment, declared in :mod:`repro.knobs`):
+``OMBPY_RELIABLE=1`` arms the layer under ``ombpy-run``/``init()``;
+``OMBPY_REL_RTO_MS`` sets the initial retransmit timeout (doubling to
+1 s max); ``OMBPY_REL_MAX_RETRIES`` the give-up threshold.
 """
 
 from __future__ import annotations
 
-import os
 import random
 import struct
 import threading
 import time
 import zlib
 
+from ..backoff import backoff
+from ..knobs import read
 from .exceptions import RankFailedError
 from .matching import Envelope
 from .transport.base import ACK_CONTEXT, Transport
 
 ENV_RELIABLE = "OMBPY_RELIABLE"
-ENV_RTO_MS = "OMBPY_REL_RTO_MS"
-ENV_MAX_RETRIES = "OMBPY_REL_MAX_RETRIES"
 
-DEFAULT_RTO = 0.05
 DEFAULT_RTO_MAX = 1.0
-DEFAULT_MAX_RETRIES = 8
 DEFAULT_CLOSE_LINGER = 0.25
 
 # Reliability frame header, prepended to every data payload:
@@ -145,12 +142,9 @@ class ReliableTransport(Transport):
         super().__init__(inner.world_rank, inner.world_size)
         self.inner = inner
         if rto_initial is None:
-            rto_initial = float(os.environ.get(ENV_RTO_MS, 0)) / 1000.0 \
-                or DEFAULT_RTO
+            rto_initial = read("OMBPY_REL_RTO_MS") / 1000.0
         if max_retries is None:
-            max_retries = int(
-                os.environ.get(ENV_MAX_RETRIES, DEFAULT_MAX_RETRIES)
-            )
+            max_retries = read("OMBPY_REL_MAX_RETRIES")
         if rto_initial <= 0:
             raise ValueError(f"rto_initial must be > 0, got {rto_initial}")
         if max_retries < 1:
@@ -249,10 +243,8 @@ class ReliableTransport(Transport):
             raise
 
     def _rto(self, attempts: int) -> float:
-        backoff = min(
-            self.rto_initial * (2 ** (attempts - 1)), self.rto_max
-        )
-        return backoff * self._jitter.uniform(0.9, 1.2)
+        return backoff(attempts, self.rto_initial, self.rto_max,
+                       self._jitter, jitter=(0.9, 1.2))
 
     def _ensure_retransmitter(self) -> None:
         if self._retransmitter is not None or self._closed.is_set():
@@ -420,6 +412,6 @@ class ReliableTransport(Transport):
 
 def reliable_from_env(transport: Transport) -> Transport:
     """Wrap ``transport`` when ``OMBPY_RELIABLE`` is set (launcher path)."""
-    if os.environ.get(ENV_RELIABLE, "") in ("", "0"):
+    if not read(ENV_RELIABLE):
         return transport
     return ReliableTransport(transport)

@@ -29,31 +29,27 @@ probe wakes and raises promptly instead of hanging until the launcher's
 global timeout.  An active runtime verifier (``repro.analysis``) is
 notified so its cross-rank diagnostics name the dead peer too.
 
-Tuning knobs (environment):
-
-* ``OMBPY_HB_INTERVAL`` — seconds between heartbeats (default 0.5);
-* ``OMBPY_HB_TIMEOUT`` — heartbeat silence before a peer is declared
-  dead (default 10.0; EOF detection is independent of this and
-  near-instant);
-* ``OMBPY_HB_DISABLE=1`` — disable the detector entirely.
+Tuning knobs (environment, declared in :mod:`repro.knobs`):
+``OMBPY_HB_INTERVAL``, ``OMBPY_HB_TIMEOUT`` (EOF detection is
+independent of it and near-instant) and ``OMBPY_HB_DISABLE``.
 """
 
 from __future__ import annotations
 
-import os
 import threading
 import time
 
+from ..knobs import KNOBS, read
 from .exceptions import RankFailedError
 from .matching import Envelope, MatchingEngine
 from .transport.base import CTRL_GOODBYE, CTRL_HEARTBEAT, Transport
 
-DEFAULT_INTERVAL = 0.5
-DEFAULT_TIMEOUT = 10.0
-
 ENV_INTERVAL = "OMBPY_HB_INTERVAL"
 ENV_TIMEOUT = "OMBPY_HB_TIMEOUT"
 ENV_DISABLE = "OMBPY_HB_DISABLE"
+
+DEFAULT_INTERVAL = KNOBS[ENV_INTERVAL].default
+DEFAULT_TIMEOUT = KNOBS[ENV_TIMEOUT].default
 
 
 class FailureDetector:
@@ -197,11 +193,9 @@ def detector_from_env(
     transport: Transport, engine: MatchingEngine, endpoint=None
 ) -> FailureDetector | None:
     """Build (but do not start) a detector per the ``OMBPY_HB_*`` env."""
-    if os.environ.get(ENV_DISABLE, "") not in ("", "0"):
+    if read(ENV_DISABLE):
         return None
-    interval = float(os.environ.get(ENV_INTERVAL, DEFAULT_INTERVAL))
-    hb_timeout = float(os.environ.get(ENV_TIMEOUT, DEFAULT_TIMEOUT))
     return FailureDetector(
-        transport, engine, interval=interval, heartbeat_timeout=hb_timeout,
-        endpoint=endpoint,
+        transport, engine, interval=read(ENV_INTERVAL),
+        heartbeat_timeout=read(ENV_TIMEOUT), endpoint=endpoint,
     )

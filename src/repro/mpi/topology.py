@@ -19,10 +19,10 @@ from __future__ import annotations
 
 import bisect
 import math
-import os
 from dataclasses import dataclass
 from typing import Sequence
 
+from ..knobs import read
 from .comm import Comm
 from .constants import PROC_NULL
 from .exceptions import MPIError
@@ -347,7 +347,7 @@ def parse_groups(spec: str, world_size: int) -> GroupMap:
 
 def group_map_from_env(world_size: int) -> GroupMap | None:
     """The launch's group map, or ``None`` when running flat."""
-    spec = os.environ.get(ENV_GROUPS, "").strip()
+    spec = (read(ENV_GROUPS) or "").strip()
     if not spec:
         return None
     return parse_groups(spec, world_size)

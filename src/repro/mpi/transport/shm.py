@@ -24,6 +24,7 @@ import threading
 import time
 from multiprocessing import shared_memory
 
+from ...knobs import KNOBS
 from ..exceptions import InternalError, RankError
 from ..matching import Envelope
 from .base import (
@@ -34,7 +35,7 @@ from .base import (
 _CTRL = struct.Struct("<QQ")
 _WORD = struct.Struct("<Q")
 CTRL_SIZE = _CTRL.size
-DEFAULT_CAPACITY = 1 << 20  # 1 MiB per directed pair
+DEFAULT_CAPACITY = KNOBS["OMBPY_SHM_CAPACITY"].default  # per directed pair
 
 
 def segment_name(job_id: str, src: int, dst: int) -> str:

@@ -20,11 +20,11 @@ from __future__ import annotations
 import socket
 
 from ..exceptions import RankError
-from ..fabric.stream import LazyStreamFabric, dial_with_retry  # noqa: F401
+from ..fabric.stream import LazyStreamFabric
 from ..matching import Envelope
 from .base import CTRL_GOODBYE, Transport
 
-__all__ = ["TcpTransport", "dial_with_retry"]
+__all__ = ["TcpTransport"]
 
 
 def _nodelay(sock: socket.socket) -> None:

@@ -39,11 +39,11 @@ timeout-based ULFM implementations.
 
 from __future__ import annotations
 
-import os
 import struct
 import time
 from typing import Callable, TypeVar
 
+from ..knobs import KNOBS, read
 from .comm import Comm
 from .exceptions import CommError, CommRevokedError, MPIError, RankFailedError
 from .group import Group
@@ -52,7 +52,7 @@ from .transport.base import CTRL_REVOKE, ULFM_CONTEXT_FLAG
 
 #: Per-round receive timeout (seconds) for the convergence protocol.
 ENV_ULFM_TIMEOUT = "OMBPY_ULFM_TIMEOUT"
-DEFAULT_TIMEOUT = 30.0
+DEFAULT_TIMEOUT = KNOBS[ENV_ULFM_TIMEOUT].default
 
 _WORD = struct.Struct("<q")
 _CTX_SHIFT = 16
@@ -62,17 +62,7 @@ T = TypeVar("T")
 
 
 def _recovery_timeout(timeout: float | None) -> float:
-    if timeout is not None:
-        return timeout
-    raw = os.environ.get(ENV_ULFM_TIMEOUT)
-    if raw:
-        value = float(raw)
-        if value <= 0:
-            raise ValueError(
-                f"{ENV_ULFM_TIMEOUT} must be > 0 seconds, got {raw!r}"
-            )
-        return value
-    return DEFAULT_TIMEOUT
+    return read(ENV_ULFM_TIMEOUT) if timeout is None else timeout
 
 
 def revoke(comm: Comm) -> None:

@@ -16,12 +16,12 @@ Three entry paths:
 from __future__ import annotations
 
 import json
-import os
 import socket
 import threading
 from dataclasses import dataclass
 from typing import Any, Callable
 
+from ..knobs import read, validate
 from ..telemetry import ENV_OUT, install_on_endpoint, telemetry_from_env
 from . import constants as C
 from .comm import Comm, Endpoint
@@ -54,15 +54,15 @@ def reliability_stats(transport) -> dict[str, int] | None:
 
 def _faults_from_env():
     """Build a FaultPlan from the launcher's chaos env, if one is set."""
-    plan_path = os.environ.get(ENV_FAULTS)
-    seed = os.environ.get(ENV_FAULT_SEED)
+    plan_path = read(ENV_FAULTS)
+    seed = read(ENV_FAULT_SEED)
     if not plan_path and seed is None:
         return None
     from ..faults import FaultPlan
 
     if plan_path:
         return FaultPlan.from_file(plan_path)
-    return FaultPlan.chaos(int(seed))
+    return FaultPlan.chaos(seed)
 
 
 def _wrap_faults(transport, plan):
@@ -70,7 +70,7 @@ def _wrap_faults(transport, plan):
     from ..faults import FaultyTransport
 
     return FaultyTransport(
-        transport, plan, log_path=os.environ.get(ENV_FAULT_LOG)
+        transport, plan, log_path=read(ENV_FAULT_LOG)
     )
 
 
@@ -100,10 +100,11 @@ class World:
         # Persist this rank's telemetry before the channel goes down so
         # the launcher can merge the per-rank dumps after the job exits.
         tele = self.endpoint.telemetry
-        if tele is not None and os.environ.get(ENV_OUT):
+        out = read(ENV_OUT)
+        if tele is not None and out:
             from ..telemetry.export import write_rank_dump
 
-            write_rank_dump(os.environ[ENV_OUT], tele)
+            write_rank_dump(out, tele)
         # Stop liveness monitoring before sockets go down, so our own
         # teardown is not reported as a peer failure.
         if self._detector is not None:
@@ -161,7 +162,8 @@ def _assemble_world(
 
 def init(thread_level: int = C.THREAD_MULTIPLE) -> World:
     """Initialize this process as a rank (launcher env) or a singleton."""
-    if ENV_RANK not in os.environ:
+    rank = read(ENV_RANK)
+    if rank is None:
         fabric = InprocFabric(1)
         endpoint = Endpoint(fabric.create_transport(0))
         tele = telemetry_from_env(0)
@@ -170,14 +172,13 @@ def init(thread_level: int = C.THREAD_MULTIPLE) -> World:
         comm = Comm(endpoint, Group([0]), context=0, thread_level=thread_level)
         return World(comm, endpoint, fabric)
 
-    rank = int(os.environ[ENV_RANK])
-    size = int(os.environ[ENV_SIZE])
-
-    fabric_kind = os.environ.get(ENV_TRANSPORT, "tcp")
+    size = read(ENV_SIZE)
+    job = read(ENV_JOB)
+    fabric_kind = read(ENV_TRANSPORT)
     if fabric_kind == "uds":
         from .transport.uds import UdsTransport
 
-        transport = UdsTransport(rank, size, os.environ[ENV_JOB])
+        transport = UdsTransport(rank, size, job)
         return _assemble_world(transport, size, thread_level, establish=True)
     if fabric_kind == "shm":
         from .topology import group_map_from_env
@@ -189,7 +190,7 @@ def init(thread_level: int = C.THREAD_MULTIPLE) -> World:
             from .fabric.hybrid import HybridTransport
 
             transport = HybridTransport(
-                rank, size, os.environ[ENV_JOB], group_map
+                rank, size, job, group_map
             )
             return _assemble_world(
                 transport, size, thread_level, establish=True
@@ -198,10 +199,10 @@ def init(thread_level: int = C.THREAD_MULTIPLE) -> World:
 
         # Segments are created by the launcher before spawn, so attaching
         # here cannot race; no rendezvous needed.
-        transport = ShmTransport(rank, size, os.environ[ENV_JOB])
+        transport = ShmTransport(rank, size, job)
         return _assemble_world(transport, size, thread_level, establish=False)
 
-    coord_host, coord_port = os.environ[ENV_COORD].rsplit(":", 1)
+    coord_host, coord_port = read(ENV_COORD).rsplit(":", 1)
 
     listen = TcpTransport.bind_ephemeral()
     my_port = listen.getsockname()[1]
@@ -258,6 +259,7 @@ def run_on_threads(
     """
     from .topology import group_map_from_env, parse_groups
 
+    validate()
     group_map = (
         parse_groups(groups, n) if groups else group_map_from_env(n)
     )
@@ -320,11 +322,12 @@ def run_on_threads(
             f"{len(alive)} rank thread(s) still running after {timeout}s: "
             f"{[t.name for t in alive]} (likely a collective mismatch)"
         )
+    out = read(ENV_OUT)
     for ep in endpoints:
-        if ep.telemetry is not None and os.environ.get(ENV_OUT):
+        if ep.telemetry is not None and out:
             from ..telemetry.export import write_rank_dump
 
-            write_rank_dump(os.environ[ENV_OUT], ep.telemetry)
+            write_rank_dump(out, ep.telemetry)
         ep.close()
     fabric.close()
     for err in errors:

@@ -13,6 +13,7 @@ import random
 import socket
 import time
 
+from ..backoff import backoff
 from .protocol import TERMINAL_STATES, JobSpec, read_message, write_message
 
 #: Connect/backoff defaults.
@@ -63,15 +64,15 @@ class ServiceClient:
         if self._sock is not None:
             return
         last: Exception | None = None
-        for attempt in range(self.connect_tries):
+        for attempt in range(1, self.connect_tries + 1):
             try:
                 self._sock = self._connect_once()
                 self._fh = self._sock.makefile("rb")
                 return
             except OSError as exc:
                 last = exc
-                delay = min(BACKOFF_CAP_S, BACKOFF_BASE_S * (2 ** attempt))
-                time.sleep(delay * random.uniform(0.5, 1.5))
+                time.sleep(backoff(attempt, BACKOFF_BASE_S, BACKOFF_CAP_S,
+                                   random))
         target = self._socket_path or f"{self._tcp[0]}:{self._tcp[1]}"
         raise ConnectionError(
             f"could not reach benchmark service at {target} "

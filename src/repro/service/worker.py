@@ -26,10 +26,10 @@ process-death fault coverage.
 from __future__ import annotations
 
 import json
-import os
 import socket
 import sys
 
+from ..knobs import read
 from ..mpi import world as mpi_world
 from ..mpi.exceptions import CommRevokedError, RankFailedError
 from .protocol import JobSpec, KIND_SLEEP, encode, read_message, table_to_wire
@@ -78,8 +78,7 @@ def _run_job(base, spec: JobSpec) -> tuple[dict | None, str | None]:
         return None, f"{type(exc).__name__}: {exc}"
 
 
-def main() -> int:
-    ctrl_path = os.environ.get(ENV_CTRL)
+def main(ctrl_path: str | None) -> int:
     if not ctrl_path:
         print("repro.service.worker: OMBPY_SERVICE_CTRL not set",
               file=sys.stderr)
@@ -165,4 +164,4 @@ def main() -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(main(read(ENV_CTRL)))

@@ -29,9 +29,11 @@ import threading
 import time
 from contextlib import contextmanager
 
+from ..knobs import KNOBS
+
 #: Event-buffer cap per rank.  ~80 bytes/event in memory, so the default
 #: bounds a rank at roughly 16 MB of trace state.
-DEFAULT_MAX_EVENTS = 200_000
+DEFAULT_MAX_EVENTS = KNOBS["OMBPY_TRACE_MAX_EVENTS"].default
 
 # Event record layout (list, JSON-ready):
 #   [ph, name, cat, ts_ns, dur_ns, tid, args]

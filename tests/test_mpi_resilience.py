@@ -13,7 +13,7 @@ import pytest
 
 from repro.faults import CrashSpec, FaultPlan
 from repro.mpi import RankFailedError, run_on_threads
-from repro.mpi.exceptions import ERR_PROC_FAILED, InternalError
+from repro.mpi.exceptions import ERR_PROC_FAILED
 from repro.mpi.matching import Envelope, MatchingEngine
 from repro.mpi.resilience import FailureDetector, detector_from_env
 from repro.mpi.transport.base import (
@@ -201,10 +201,20 @@ class TestThreadsChaos:
             run_on_threads(2, workload, fault_plan=plan, timeout=30)
 
 
-class TestDialRetry:
-    def test_retries_until_listener_appears(self):
-        from repro.mpi.transport.tcp import dial_with_retry
+def _fabric_dialing(dialer, dial_timeout):
+    """A fabric whose dial policy runs ``dialer``; no thread is started."""
+    from repro.mpi.fabric.stream import LazyStreamFabric
 
+    return LazyStreamFabric(
+        None, None, lambda _peer: dialer(), label="test peer",
+        dial_timeout=dial_timeout,
+    )
+
+
+class TestDialRetry:
+    """The fabric's dial policy (``LazyStreamFabric._dial``)."""
+
+    def test_retries_until_listener_appears(self):
         attempts = []
 
         def connect():
@@ -213,38 +223,27 @@ class TestDialRetry:
                 raise ConnectionRefusedError("not yet")
             return "connected"
 
-        result = dial_with_retry(
-            connect, timeout=10, describe="test peer",
-            initial_backoff=0.005, max_backoff=0.02,
-        )
-        assert result == "connected"
+        assert _fabric_dialing(connect, 10)._dial(1) == "connected"
         assert len(attempts) == 4
 
     def test_gives_up_at_deadline(self):
-        from repro.mpi.transport.tcp import dial_with_retry
-
         def connect():
             raise ConnectionRefusedError("never")
 
-        with pytest.raises(InternalError, match="test peer"):
-            dial_with_retry(
-                connect, timeout=0.2, describe="test peer",
-                initial_backoff=0.01, max_backoff=0.05,
-            )
+        start = time.monotonic()
+        with pytest.raises(ConnectionRefusedError):
+            _fabric_dialing(connect, 0.2)._dial(1)
+        assert 0.2 <= time.monotonic() - start < 2.0
 
     def test_non_transient_error_raises_immediately(self):
-        from repro.mpi.transport.tcp import dial_with_retry
-
         attempts = []
 
         def connect():
             attempts.append(1)
             raise OSError(13, "permission denied")
 
-        with pytest.raises(InternalError):
-            dial_with_retry(
-                connect, timeout=5, describe="x", initial_backoff=0.01,
-            )
+        with pytest.raises(OSError):
+            _fabric_dialing(connect, 5)._dial(1)
         assert len(attempts) == 1
 
 

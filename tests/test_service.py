@@ -67,6 +67,10 @@ class TestConfig:
         monkeypatch.setenv(ENV_QUEUE_DEPTH, "7")
         assert ServiceConfig.from_env(queue_depth=9).queue_depth == 9
 
+    def test_cli_knob_overrides_env(self, monkeypatch):
+        monkeypatch.setenv(ENV_QUEUE_DEPTH, "abc")  # invalid, but overridden
+        assert ServiceConfig.from_env(queue_depth=9).queue_depth == 9
+
     @pytest.mark.parametrize("var,value", [
         (ENV_QUEUE_DEPTH, "zero"),
         (ENV_QUEUE_DEPTH, "0"),
