@@ -334,8 +334,7 @@ class Verifier:
 
     def wait_ticket(self, ticket, timeout: float | None) -> None:
         """Slice-wait on a ticket with deadlock/timeout surveillance."""
-        event = ticket._event
-        if event.is_set():
+        if ticket.done():
             self.on_consume(ticket)
             return
         tracked = self._tracked.get(id(ticket))
@@ -362,7 +361,7 @@ class Verifier:
         self.shared.set_waiting(info)
         try:
             while True:
-                if event.wait(self.poll):
+                if ticket.wait_done(self.poll):
                     self.on_consume(ticket)
                     return
                 now = time.monotonic()

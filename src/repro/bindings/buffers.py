@@ -21,7 +21,7 @@ from ..mpi.datatypes import Datatype
 from ..mpi.exceptions import BufferError_, CountError
 
 
-@dataclass
+@dataclass(slots=True)
 class BufferSpec:
     """A resolved communication buffer.
 
@@ -121,36 +121,6 @@ def _resolve_device(obj: Any, writable: bool) -> BufferSpec:
     )
 
 
-def _resolve_host(obj: Any, writable: bool) -> BufferSpec:
-    if isinstance(obj, np.ndarray):
-        if not obj.flags["C_CONTIGUOUS"]:
-            raise BufferError_(
-                "only C-contiguous arrays can be communicated "
-                "(make a contiguous copy first)"
-            )
-        if writable and not obj.flags.writeable:
-            raise BufferError_(
-                "read-only array passed where a writable receive buffer "
-                "is required"
-            )
-        datatype = datatypes.from_numpy_dtype(obj.dtype)
-        view = memoryview(obj).cast("B")
-        return BufferSpec(obj, view, obj.nbytes, datatype)
-    try:
-        view = memoryview(obj).cast("B")
-    except TypeError:
-        raise BufferError_(
-            f"{type(obj).__name__} does not support the buffer protocol "
-            "and has no __cuda_array_interface__"
-        ) from None
-    if writable and view.readonly:
-        raise BufferError_(
-            f"{type(obj).__name__} is read-only but a writable receive "
-            "buffer is required"
-        )
-    return BufferSpec(obj, view, view.nbytes, datatypes.BYTE)
-
-
 def resolve_buffer(spec: Any, writable: bool = False) -> BufferSpec:
     """Resolve a user buffer argument to a :class:`BufferSpec`.
 
@@ -159,10 +129,16 @@ def resolve_buffer(spec: Any, writable: bool = False) -> BufferSpec:
     * a buffer-provider or CUDA-array-interface object;
     * ``[buffer, datatype]`` with ``datatype`` a Datatype or MPI name;
     * ``[buffer, count, datatype]`` restricting to ``count`` elements.
+
+    A plain ``np.ndarray`` (the common case) skips the spec and CUDA
+    array interface probes (the simulated device arrays are not
+    ndarrays) and maps its dtype through a dict keyed by ``np.dtype``.
     """
+    obj = spec
     count: int | None = None
     datatype: Datatype | None = None
-    if isinstance(spec, (list, tuple)):
+    array = type(obj) is np.ndarray
+    if not array and isinstance(spec, (list, tuple)):
         if len(spec) == 2:
             obj, dt = spec
         elif len(spec) == 3:
@@ -175,13 +151,52 @@ def resolve_buffer(spec: Any, writable: bool = False) -> BufferSpec:
                 f"[buf, count, datatype]; got {len(spec)} items"
             )
         datatype = datatypes.lookup(dt) if isinstance(dt, str) else dt
-    else:
-        obj = spec
+        array = type(obj) is np.ndarray
 
-    if hasattr(obj, "__cuda_array_interface__"):
+    if not array and hasattr(obj, "__cuda_array_interface__"):
         resolved = _resolve_device(obj, writable)
     else:
-        resolved = _resolve_host(obj, writable)
+        # Host buffer: one memoryview answers contiguity, writability
+        # and size for every buffer provider, NumPy arrays included.
+        try:
+            view = memoryview(obj)
+        except TypeError:
+            raise BufferError_(
+                f"{type(obj).__name__} does not support the buffer "
+                "protocol and has no __cuda_array_interface__"
+            ) from None
+        except ValueError:
+            # NumPy exports no buffer format for datetime64/timedelta64,
+            # which have no MPI datatype either: raise DatatypeError.
+            if isinstance(obj, np.ndarray):
+                datatypes.from_numpy_dtype(obj.dtype)
+            raise
+        if not view.c_contiguous:
+            raise BufferError_(
+                f"only C-contiguous buffers can be communicated, got a "
+                f"non-contiguous {type(obj).__name__} (make a contiguous "
+                "copy first)"
+            )
+        if writable and view.readonly:
+            raise BufferError_(
+                f"{type(obj).__name__} is read-only but a writable receive "
+                "buffer is required"
+            )
+        if array or isinstance(obj, np.ndarray):
+            try:
+                host_type = datatypes.NUMPY_DTYPE_TO_MPI[obj.dtype]
+            except KeyError:  # byte-swapped or unmapped: match by name
+                host_type = datatypes.from_numpy_dtype(obj.dtype)
+        else:
+            host_type = datatypes.BYTE
+        try:
+            flat = view.cast("B")
+        except TypeError:
+            raise BufferError_(
+                f"{type(obj).__name__} of shape {view.shape} cannot be "
+                "viewed as bytes"
+            ) from None
+        resolved = BufferSpec(obj, flat, view.nbytes, host_type)
 
     if datatype is not None:
         if resolved.nbytes % datatype.size != 0 and count is None:

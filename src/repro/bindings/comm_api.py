@@ -110,6 +110,7 @@ class Comm:
 
     def __init__(self, runtime: RuntimeComm, codec: PickleCodec | None = None):
         self._rt = runtime
+        self._endpoint = runtime.endpoint
         self.pickle = codec or PickleCodec()
 
     # -- identity -----------------------------------------------------------
@@ -179,7 +180,7 @@ class Comm:
         access against every buffer pinned by a pending non-blocking
         operation on this rank.
         """
-        sanitizer = self._rt.endpoint.sanitizer
+        sanitizer = self._endpoint.sanitizer
         if sanitizer is not None:
             if write:
                 sanitizer.check_write(spec, op)
@@ -188,7 +189,8 @@ class Comm:
 
     def Send(self, buf: Any, dest: int, tag: int = 0) -> None:
         spec = resolve_buffer(buf)
-        self._sanitize_access(spec, "Send")
+        if self._endpoint.sanitizer is not None:
+            self._sanitize_access(spec, "Send")
         self._rt.send_bytes(spec.read(), dest, tag)
 
     def _check_recv_count(self, spec: BufferSpec, st: Status) -> None:
@@ -198,7 +200,7 @@ class Comm:
         engine; this catches the *undersized* half — a sender whose count
         or datatype disagrees with the posted receive buffer.
         """
-        verifier = self._rt.endpoint.verifier
+        verifier = self._endpoint.verifier
         if verifier is not None:
             verifier.check_recv_count(
                 st.count_bytes, spec.nbytes, st.source, st.tag
@@ -212,16 +214,21 @@ class Comm:
         status: Status | None = None,
     ) -> None:
         spec = resolve_buffer(buf, writable=True)
-        self._sanitize_access(spec, "Recv", write=True)
+        endpoint = self._endpoint
+        if endpoint.sanitizer is not None:
+            self._sanitize_access(spec, "Recv", write=True)
         payload, st = self._rt.recv_bytes(source, tag, spec.nbytes)
-        self._check_recv_count(spec, st)
-        spec.write(payload)
+        if endpoint.verifier is not None:
+            self._check_recv_count(spec, st)
+        # The engine already refused a message longer than spec.nbytes
+        # (TruncationError), so no overrun check is needed here.
+        spec.view[:len(payload)] = payload
         if status is not None:
             status._fill(st.source, st.tag, st.count_bytes)
 
     def Isend(self, buf: Any, dest: int, tag: int = 0) -> Request:
         spec = resolve_buffer(buf)
-        sanitizer = self._rt.endpoint.sanitizer
+        sanitizer = self._endpoint.sanitizer
         # Pin the send buffer at post time; SendRequest releases the pin
         # (verifying the content snapshot) at wait/test.
         pin = None
@@ -237,7 +244,7 @@ class Comm:
     ) -> BufferRecvRequest:
         spec = resolve_buffer(buf, writable=True)
         req = self._rt.irecv_bytes(source, tag, spec.nbytes)
-        sanitizer = self._rt.endpoint.sanitizer
+        sanitizer = self._endpoint.sanitizer
         pin = None
         if sanitizer is not None:
             pin = sanitizer.pin_spec(spec, "Irecv")
@@ -267,7 +274,7 @@ class Comm:
 
     def Bcast(self, buf: Any, root: int = 0) -> None:
         spec = resolve_buffer(buf, writable=True)
-        sanitizer = self._rt.endpoint.sanitizer
+        sanitizer = self._endpoint.sanitizer
         token = None
         if sanitizer is not None:
             self._sanitize_access(spec, "Bcast", write=self.rank != root)

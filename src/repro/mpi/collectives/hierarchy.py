@@ -78,7 +78,7 @@ def _compute_partition(comm: Comm) -> list[list[int]] | None:
     buckets: dict[int, list[int]] = {}
     try:
         for r in range(comm.size):
-            gid = gmap.group_of(comm._world_rank(r))
+            gid = gmap.group_of(comm._world_ranks[r])
             buckets.setdefault(gid, []).append(r)
     except TopologyError:
         # A member outside the map (sub-communicator of a larger world

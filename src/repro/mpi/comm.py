@@ -90,6 +90,10 @@ class Comm:
             )
         self._endpoint = endpoint
         self._group = group
+        # The group is immutable: resolve its size and rank table once
+        # instead of on every message.
+        self._size = group.size
+        self._world_ranks = group.world_ranks()
         self._context = context
         self._rank = my_rank
         self._freed = False
@@ -112,7 +116,7 @@ class Comm:
 
     @property
     def size(self) -> int:
-        return self._group.size
+        return self._size
 
     def Get_rank(self) -> int:
         """Return this process's rank within the communicator."""
@@ -120,7 +124,7 @@ class Comm:
 
     def Get_size(self) -> int:
         """Return the number of processes in the communicator."""
-        return self._group.size
+        return self._size
 
     def Get_group(self) -> Group:
         """Return the communicator's process group."""
@@ -143,70 +147,77 @@ class Comm:
                 context=self._context,
             )
 
-    def _world_rank(self, comm_rank: int) -> int:
-        return self._group.world_rank(comm_rank)
-
     # -- point-to-point (byte level) --------------------------------------
     def send_bytes(self, payload: bytes, dest: int, tag: int) -> None:
         """Blocking buffered send of raw bytes."""
-        self.isend_bytes(payload, dest, tag).wait()
+        # The eager send is complete once isend_bytes returns; its request
+        # carries no sanitizer pin, so there is nothing to wait for.
+        self.isend_bytes(payload, dest, tag)
 
     def isend_bytes(self, payload: bytes, dest: int, tag: int) -> Request:
         """Non-blocking buffered send; returns a completed request."""
         self._check_alive()
         if dest == C.PROC_NULL:
             return SendRequest(dest, tag, 0)
-        if not 0 <= dest < self.size:
+        if not 0 <= dest < self._size:
             raise RankError(
-                f"destination rank {dest} out of range [0, {self.size})"
+                f"destination rank {dest} out of range [0, {self._size})"
             )
-        if not C.is_valid_user_tag(tag) and tag < C.INTERNAL_TAG_BASE:
+        if tag < 0 or C.TAG_UB < tag < C.INTERNAL_TAG_BASE:
             raise TagError(f"invalid send tag {tag}")
+        endpoint = self._endpoint
         # Fail fast once a peer has been declared dead: the job cannot
         # complete, so don't queue more traffic toward it.
-        self._endpoint.engine.check_failure()
-        env = Envelope(self._context, self._rank, dest, tag, len(payload))
-        tele = self._endpoint.telemetry
+        endpoint.engine.check_failure()
+        nbytes = len(payload)
+        env = Envelope(self._context, self._rank, dest, tag, nbytes)
+        dest_world = self._world_ranks[dest]
+        tele = endpoint.telemetry
         if tele is not None:
-            tele.on_send(
-                self._endpoint.world_rank, self._world_rank(dest), env
-            )
-        self._endpoint.transport.send(self._world_rank(dest), env, payload)
-        return SendRequest(dest, tag, len(payload))
+            tele.on_send(endpoint.world_rank, dest_world, env)
+        endpoint.transport.send(dest_world, env, payload)
+        return SendRequest(dest, tag, nbytes)
 
-    def irecv_bytes(
-        self, source: int, tag: int, max_bytes: int, sink=None
-    ) -> RecvRequest:
-        """Post a non-blocking receive for up to ``max_bytes`` bytes."""
+    def _post_recv(self, source: int, tag: int, max_bytes: int) -> RecvTicket:
+        """Validate and post one receive (shared by irecv/recv)."""
         self._check_alive()
         if source == C.PROC_NULL:
             # Matches MPI semantics: completes immediately with zero bytes.
             # The ticket must never be posted to the matching engine — a
             # posted-then-cancelled wildcard could swallow a real message
             # arriving in between.
-            ticket = RecvTicket(self._context, C.ANY_SOURCE, tag, 0, -1)
+            ticket = RecvTicket(self._context, C.ANY_SOURCE, tag, 0)
             ticket.cancel()
-            return RecvRequest(ticket, sink)
-        if not C.is_valid_recv_source(source, self.size):
+            return ticket
+        if source != C.ANY_SOURCE and not 0 <= source < self._size:
             raise RankError(f"receive source {source} out of range")
-        if not C.is_valid_recv_tag(tag) and tag < C.INTERNAL_TAG_BASE:
+        if tag != C.ANY_TAG and (
+            tag < 0 or C.TAG_UB < tag < C.INTERNAL_TAG_BASE
+        ):
             raise TagError(f"invalid receive tag {tag}")
-        src_world = (
-            None if source == C.ANY_SOURCE else self._world_rank(source)
+        endpoint = self._endpoint
+        src_world = None
+        if source != C.ANY_SOURCE:
+            src_world = self._world_ranks[source]
+            if src_world != endpoint.world_rank:
+                # On lazy connection-cache fabrics the channel is how this
+                # rank *observes* the sender (EOF on crash, refused dial
+                # on death): hint the transport so a pure receiver is not
+                # blind to a peer that dies before ever being dialed.
+                endpoint.transport.ensure_peer(src_world)
+        ticket = endpoint.engine.post_recv(
+            self._context, source, tag, max_bytes, src_world
         )
-        if src_world is not None and src_world != self._endpoint.world_rank:
-            # On lazy connection-cache fabrics the channel is how this
-            # rank *observes* the sender (EOF on crash, refused dial on
-            # death): hint the transport so a pure receiver is not blind
-            # to a peer that dies before ever being dialed.
-            self._endpoint.transport.ensure_peer(src_world)
-        ticket = self._endpoint.engine.post_recv(
-            self._context, source, tag, max_bytes, source_world=src_world
-        )
-        verifier = self._endpoint.verifier
+        verifier = endpoint.verifier
         if verifier is not None:
             verifier.on_post(ticket, src_world, tag, self._context)
-        return RecvRequest(ticket, sink)
+        return ticket
+
+    def irecv_bytes(
+        self, source: int, tag: int, max_bytes: int, sink=None
+    ) -> RecvRequest:
+        """Post a non-blocking receive for up to ``max_bytes`` bytes."""
+        return RecvRequest(self._post_recv(source, tag, max_bytes), sink)
 
     def recv_bytes(
         self,
@@ -216,18 +227,17 @@ class Comm:
         timeout: float | None = None,
     ) -> tuple[bytes, Status]:
         """Blocking receive; returns (payload, status)."""
-        req = self.irecv_bytes(source, tag, max_bytes)
+        ticket = self._post_recv(source, tag, max_bytes)
         tele = self._endpoint.telemetry
         if tele is None:
-            req._ticket.wait(timeout)
+            payload = ticket.wait(timeout)
         else:
             t0 = time.time_ns()
             try:
-                req._ticket.wait(timeout)
+                payload = ticket.wait(timeout)
             finally:
                 tele.on_recv_wait(t0, time.time_ns() - t0, source, tag)
-        req._finish()
-        return req.payload(), req._ticket.status
+        return payload, ticket.status
 
     def sendrecv_bytes(
         self,
@@ -239,10 +249,9 @@ class Comm:
         max_bytes: int,
     ) -> tuple[bytes, Status]:
         """Combined send+receive; deadlock-free (recv posted first)."""
-        req = self.irecv_bytes(source, recvtag, max_bytes)
-        self.send_bytes(payload, dest, sendtag)
-        req.wait()
-        return req.payload(), req._ticket.status
+        ticket = self._post_recv(source, recvtag, max_bytes)
+        self.isend_bytes(payload, dest, sendtag)
+        return ticket.wait(), ticket.status
 
     # -- probing -----------------------------------------------------------
     def probe(self, source: int, tag: int, timeout: float | None = None) -> Status:

@@ -51,17 +51,3 @@ INTERNAL_TAG_BASE = 2**30
 # mpi4py-compatible names for status fields.
 ERR_CODE_SUCCESS = 0
 
-
-def is_valid_user_tag(tag: int) -> bool:
-    """Return True if ``tag`` is a legal tag for user-level sends."""
-    return 0 <= tag <= TAG_UB
-
-
-def is_valid_recv_tag(tag: int) -> bool:
-    """Return True if ``tag`` is a legal tag for receives (wildcard allowed)."""
-    return tag == ANY_TAG or is_valid_user_tag(tag)
-
-
-def is_valid_recv_source(source: int, comm_size: int) -> bool:
-    """Return True if ``source`` is legal for a receive on a communicator."""
-    return source == ANY_SOURCE or source == PROC_NULL or 0 <= source < comm_size

@@ -110,6 +110,13 @@ _NUMPY_TO_MPI: dict[str, Datatype] = {
     "complex128": DOUBLE_COMPLEX,
 }
 
+#: The same mapping keyed by native-byte-order ``np.dtype``, for an O(1)
+#: lookup of an array's dtype; a miss falls back to
+#: :func:`from_numpy_dtype`, which matches by name.
+NUMPY_DTYPE_TO_MPI: dict[np.dtype, Datatype] = {
+    np.dtype(name): dt for name, dt in _NUMPY_TO_MPI.items()
+}
+
 
 def lookup(name: str) -> Datatype:
     """Return a predefined datatype by its MPI name.

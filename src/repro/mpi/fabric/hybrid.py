@@ -26,7 +26,6 @@ import os
 import socket
 
 from ..matching import Envelope
-from ..transport.base import CTRL_GOODBYE
 from ..transport.shm import ShmTransport
 from ..transport.uds import socket_dir, socket_path
 from .stream import LazyStreamFabric
@@ -113,8 +112,7 @@ class HybridTransport(ShmTransport):
 
     def close(self) -> None:
         if not self._closed.is_set():
-            for peer in self._fabric.connected():
-                self.send_control(peer, CTRL_GOODBYE)
+            # Says goodbye to the connected stream peers first.
             self._fabric.close()
             try:
                 os.unlink(self._path)

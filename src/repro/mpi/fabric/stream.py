@@ -49,8 +49,8 @@ from ...knobs import read
 from ..exceptions import InternalError, RankFailedError
 from ..matching import Envelope
 from ..transport.base import (
-    CONTROL_CONTEXT, CTRL_BYE, HEADER_SIZE, control_envelope, pack_header,
-    recv_exact_into, send_frame, unpack_header,
+    CONTROL_CONTEXT, CTRL_BYE, CTRL_GOODBYE, HEADER_SIZE, control_envelope,
+    pack_header, recv_exact_into, send_frame, unpack_header,
 )
 
 logger = logging.getLogger(__name__)
@@ -158,8 +158,19 @@ class LazyStreamFabric:
         self._accept_thread.start()
 
     def close(self) -> None:
+        """Send CTRL_GOODBYE on each established channel, then tear down.
+
+        The goodbye tells a peer the EOF that follows is a clean
+        departure, not a crash; peers without a channel have no EOF to
+        misread, and the goodbye never dials one.
+        """
         if self._closed.is_set():
             return
+        me = self.owner.world_rank
+        for peer in self.connected():
+            self.send_existing(
+                peer, control_envelope(CTRL_GOODBYE, me, peer), b""
+            )
         self._closed.set()
         try:
             self.listen_sock.close()
@@ -215,6 +226,28 @@ class LazyStreamFabric:
                         f"({exc!r})", rank=dest,
                     ) from exc
 
+    def send_existing(
+        self, dest: int, env: Envelope, payload: bytes
+    ) -> bool:
+        """Write one frame on the channel to ``dest`` if it exists.
+
+        Never dials, never raises; returns whether the frame went out.
+        For teardown: :meth:`send` would re-dial a peer whose channel
+        dropped meanwhile, and a departed uds peer's missing socket file
+        (``ENOENT``) is retried for the whole dial timeout.
+        """
+        ch = self._channels.get(dest)
+        if ch is None:
+            return False
+        with ch.lock:
+            if ch.closing:
+                return False
+            try:
+                send_frame(ch.sock, pack_header(env), payload)
+            except (ConnectionError, OSError):
+                return False
+        return True
+
     def ensure(self, peer: int) -> None:
         """Background-establish the channel to ``peer`` if absent.
 
@@ -225,6 +258,8 @@ class LazyStreamFabric:
         on a short-lived daemon thread; failures surface through the
         failure detector, not the caller.
         """
+        if peer in self._channels:
+            return  # the common case, once per receive: no lock, no thread
         if peer == self.owner.world_rank or self._closed.is_set():
             return
         with self._lock:

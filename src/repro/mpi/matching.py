@@ -16,18 +16,22 @@ while application threads post receives and block in :meth:`RecvTicket.wait`.
 
 from __future__ import annotations
 
-import itertools
 import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .constants import ANY_SOURCE, ANY_TAG
 from .exceptions import CommRevokedError, TruncationError
 from .status import Status
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class Envelope:
-    """Wire-level message envelope."""
+    """Wire-level message envelope (treat as immutable).
+
+    Slotted and not frozen: a frozen dataclass's ``__init__`` goes
+    through ``object.__setattr__``, and one envelope is built per send
+    and per frame read.
+    """
 
     context: int  # communicator context id
     source: int   # sender's rank within the communicator
@@ -36,30 +40,32 @@ class Envelope:
     nbytes: int
 
 
-@dataclass
-class _Unexpected:
-    envelope: Envelope
-    payload: bytes
-    order: int
-
-
 class RecvTicket:
-    """Handle for one posted receive; completed by the matching engine."""
+    """Handle for one posted receive; completed by the matching engine.
+
+    Waiters block on a one-shot latch: a lock created held, released
+    exactly once when the ticket completes, fails or is cancelled (by the
+    engine, under its lock).  A waiter acquires the latch and releases it
+    again at once, so every waiter passes; :meth:`done` reads a flag set
+    just before the release.
+    """
 
     __slots__ = (
-        "context", "source", "tag", "max_bytes", "order",
-        "_event", "payload", "status", "error", "cancelled", "verifier",
+        "context", "source", "tag", "max_bytes",
+        "_latch", "_done", "payload", "status", "error", "cancelled",
+        "verifier",
     )
 
     def __init__(
-        self, context: int, source: int, tag: int, max_bytes: int, order: int
+        self, context: int, source: int, tag: int, max_bytes: int
     ) -> None:
         self.context = context
         self.source = source
         self.tag = tag
         self.max_bytes = max_bytes
-        self.order = order
-        self._event = threading.Event()
+        self._latch = latch = threading.Lock()
+        latch.acquire()
+        self._done = False
         self.payload: bytes | None = None
         self.status = Status()
         self.error: Exception | None = None
@@ -88,18 +94,21 @@ class RecvTicket:
             )
         self.payload = payload
         self.status._fill(env.source, env.tag, env.nbytes)
-        self._event.set()
+        self._done = True
+        self._latch.release()
 
     def cancel(self) -> None:
         """Mark cancelled and wake the waiter (engine removes the ticket)."""
         self.cancelled = True
         self.status.cancelled = True
-        self._event.set()
+        self._done = True
+        self._latch.release()
 
     def fail(self, error: Exception) -> None:
         """Complete the ticket with an error and wake the waiter."""
         self.error = error
-        self._event.set()
+        self._done = True
+        self._latch.release()
 
     def describe(self) -> str:
         """One-line wait-state description (for failure diagnostics)."""
@@ -108,7 +117,18 @@ class RecvTicket:
         return f"recv(source={src}, tag={tag}, context={self.context:#x})"
 
     def done(self) -> bool:
-        return self._event.is_set()
+        """Whether the ticket completed, failed or was cancelled."""
+        return self._done
+
+    def wait_done(self, timeout: float | None = None) -> bool:
+        """Block until :meth:`done` or ``timeout`` seconds; return done()."""
+        if self._done:
+            return True
+        latch = self._latch
+        if latch.acquire(True, -1 if timeout is None else max(timeout, 0)):
+            latch.release()
+            return True
+        return self._done
 
     def wait(self, timeout: float | None = None) -> bytes:
         """Block until matched; return the payload.
@@ -118,7 +138,7 @@ class RecvTicket:
         if self.verifier is not None:
             # Surveillance wait: deadlock/timeout detection while blocked.
             self.verifier.wait_ticket(self, timeout)
-        elif not self._event.wait(timeout):
+        elif not self._done and not self.wait_done(timeout):
             raise TimeoutError(
                 f"receive (source={self.source}, tag={self.tag}) timed out "
                 f"after {timeout}s"
@@ -127,8 +147,7 @@ class RecvTicket:
             raise self.error
         if self.cancelled:
             return b""
-        assert self.payload is not None
-        return self.payload
+        return self.payload  # type: ignore[return-value]
 
 
 class MatchingEngine:
@@ -137,10 +156,12 @@ class MatchingEngine:
     def __init__(self) -> None:
         self._lock = threading.Lock()
         self._posted: list[RecvTicket] = []
-        self._unexpected: list[_Unexpected] = []
-        self._order = itertools.count()
-        # Probe waiters: condition signalled on every delivery.
+        # Unexpected messages as (envelope, payload), oldest first.
+        self._unexpected: list[tuple[Envelope, bytes]] = []
+        # Blocking probes wait on this condition; deliveries signal it
+        # only while ``_probing`` (count of waiting probes) is non-zero.
         self._delivered = threading.Condition(self._lock)
+        self._probing = 0
         # Sticky endpoint failure (e.g. a peer rank died).  Once set, every
         # pending and future receive completes with this error: with a rank
         # gone the job cannot make progress, so fail fast everywhere rather
@@ -151,6 +172,9 @@ class MatchingEngine:
         self._failed_ranks: dict[int, Exception] = {}
         # Revoked communicator contexts: permanently dead — posted
         # receives fail, queued and future messages are discarded.
+        # ``_failure`` and ``_revoked`` are written under the lock but
+        # read without it (a reference read / set lookup is atomic), so
+        # the per-message liveness checks never contend with deliveries.
         self._revoked: set[int] = set()
         # Optional telemetry hooks (repro.telemetry); duck-typed so the
         # engine never imports the telemetry package.
@@ -167,22 +191,20 @@ class MatchingEngine:
         it) lets a receive targeting an already-dead peer fail promptly
         even after the sticky failure has been acknowledged.
         """
+        ticket = RecvTicket(context, source, tag, max_bytes)
         with self._lock:
-            ticket = RecvTicket(
-                context, source, tag, max_bytes, next(self._order)
-            )
             if context in self._revoked:
                 ticket.fail(CommRevokedError(
                     f"communicator context {context:#x} was revoked",
                     context=context,
                 ))
                 return ticket
-            for i, um in enumerate(self._unexpected):
-                if ticket.matches(um.envelope):
+            for i, (env, payload) in enumerate(self._unexpected):
+                if ticket.matches(env):
                     del self._unexpected[i]
-                    ticket.complete(um.envelope, um.payload)
+                    ticket.complete(env, payload)
                     if self.telemetry is not None:
-                        self.telemetry.on_matched_from_queue(um.envelope)
+                        self.telemetry.on_matched_from_queue(env)
                     return ticket
             if self._failure is not None:
                 ticket.fail(self._failure)
@@ -222,16 +244,14 @@ class MatchingEngine:
                             env, matched=True,
                             queue_depth=len(self._unexpected),
                         )
-                    self._delivered.notify_all()
                     return
-            self._unexpected.append(
-                _Unexpected(env, payload, next(self._order))
-            )
+            self._unexpected.append((env, payload))
             if self.telemetry is not None:
                 self.telemetry.on_delivered(
                     env, matched=False, queue_depth=len(self._unexpected)
                 )
-            self._delivered.notify_all()
+            if self._probing:
+                self._delivered.notify_all()
 
     # -- failure propagation ----------------------------------------------
     def set_failure(self, error: Exception) -> None:
@@ -279,12 +299,11 @@ class MatchingEngine:
 
     def failure(self) -> Exception | None:
         """The sticky endpoint failure, if one was recorded."""
-        with self._lock:
-            return self._failure
+        return self._failure
 
     def check_failure(self) -> None:
         """Raise the recorded endpoint failure, if any."""
-        failure = self.failure()
+        failure = self._failure
         if failure is not None:
             raise failure
 
@@ -317,16 +336,14 @@ class MatchingEngine:
                     ticket.verifier.on_consume(ticket)
             self._posted = keep
             self._unexpected = [
-                um for um in self._unexpected
-                if um.envelope.context != context
+                um for um in self._unexpected if um[0].context != context
             ]
             self._delivered.notify_all()
             return True
 
     def is_revoked(self, context: int) -> bool:
         """Whether ``context`` has been revoked."""
-        with self._lock:
-            return context in self._revoked
+        return context in self._revoked
 
     def purge_unexpected(self, context: int) -> int:
         """Drop queued unexpected messages on ``context`` (non-sticky).
@@ -338,8 +355,7 @@ class MatchingEngine:
         with self._lock:
             before = len(self._unexpected)
             self._unexpected = [
-                um for um in self._unexpected
-                if um.envelope.context != context
+                um for um in self._unexpected if um[0].context != context
             ]
             return before - len(self._unexpected)
 
@@ -358,41 +374,38 @@ class MatchingEngine:
         return ", ".join(parts)
 
     # -- probing ---------------------------------------------------------
+    def _probe_unexpected(self, probe: RecvTicket) -> Status | None:
+        """Status of the oldest queued message ``probe`` matches (locked)."""
+        for env, _payload in self._unexpected:
+            if probe.matches(env):
+                return Status(env.source, env.tag, env.nbytes)
+        return None
+
     def iprobe(
         self, context: int, source: int, tag: int
     ) -> Status | None:
         """Non-blocking probe of the unexpected queue."""
-        probe = RecvTicket(context, source, tag, 0, -1)
+        probe = RecvTicket(context, source, tag, 0)
         with self._lock:
-            for um in self._unexpected:
-                if probe.matches(um.envelope):
-                    st = Status()
-                    st._fill(
-                        um.envelope.source, um.envelope.tag,
-                        um.envelope.nbytes,
-                    )
-                    return st
-        return None
+            return self._probe_unexpected(probe)
 
     def probe(
         self, context: int, source: int, tag: int,
         timeout: float | None = None,
     ) -> Status:
         """Blocking probe: wait until a matching message is unexpected."""
-        probe = RecvTicket(context, source, tag, 0, -1)
+        probe = RecvTicket(context, source, tag, 0)
         with self._delivered:
             while True:
-                for um in self._unexpected:
-                    if probe.matches(um.envelope):
-                        st = Status()
-                        st._fill(
-                            um.envelope.source, um.envelope.tag,
-                            um.envelope.nbytes,
-                        )
-                        return st
+                st = self._probe_unexpected(probe)
+                if st is not None:
+                    return st
                 if self._failure is not None:
                     raise self._failure
-                if not self._delivered.wait(timeout):
+                self._probing += 1
+                woken = self._delivered.wait(timeout)
+                self._probing -= 1
+                if not woken:
                     raise TimeoutError(
                         f"probe (source={source}, tag={tag}) timed out"
                     )

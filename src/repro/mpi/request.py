@@ -46,8 +46,7 @@ class SendRequest(Request):
     __slots__ = ("_status", "sanitizer_pin")
 
     def __init__(self, dest: int, tag: int, nbytes: int) -> None:
-        self._status = Status()
-        self._status._fill(dest, tag, nbytes)
+        self._status = Status(dest, tag, nbytes)
         self.sanitizer_pin = None
 
     def _release_pin(self) -> None:

@@ -17,10 +17,13 @@ class Status:
 
     __slots__ = ("source", "tag", "count_bytes", "error", "cancelled")
 
-    def __init__(self) -> None:
-        self.source: int = ANY_SOURCE
-        self.tag: int = ANY_TAG
-        self.count_bytes: int = 0
+    def __init__(
+        self, source: int = ANY_SOURCE, tag: int = ANY_TAG,
+        count_bytes: int = 0,
+    ) -> None:
+        self.source: int = source
+        self.tag: int = tag
+        self.count_bytes: int = count_bytes
         self.error: int = 0
         self.cancelled: bool = False
 

@@ -22,7 +22,7 @@ import socket
 from ..exceptions import RankError
 from ..fabric.stream import LazyStreamFabric
 from ..matching import Envelope
-from .base import CTRL_GOODBYE, Transport
+from .base import Transport
 
 __all__ = ["TcpTransport"]
 
@@ -92,10 +92,6 @@ class TcpTransport(Transport):
         return self._fabric.stats()
 
     def close(self) -> None:
-        # Announce clean departure on *established* channels before
-        # tearing them down, so peers' readers interpret the coming EOF
-        # as a goodbye, not a crash.  Unestablished peers need nothing:
-        # there is no socket whose EOF could be misread.
-        for peer in self._fabric.connected():
-            self.send_control(peer, CTRL_GOODBYE)
+        # The fabric announces a clean departure (CTRL_GOODBYE) on every
+        # established channel before tearing them down.
         self._fabric.close()

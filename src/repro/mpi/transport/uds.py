@@ -22,7 +22,7 @@ import tempfile
 from ..exceptions import RankError
 from ..fabric.stream import LazyStreamFabric
 from ..matching import Envelope
-from .base import CTRL_GOODBYE, Transport
+from .base import Transport
 
 
 def socket_dir(job_id: str) -> str:
@@ -91,8 +91,7 @@ class UdsTransport(Transport):
         return self._fabric.stats()
 
     def close(self) -> None:
-        for peer in self._fabric.connected():
-            self.send_control(peer, CTRL_GOODBYE)
+        # The fabric says goodbye to connected peers before tearing down.
         self._fabric.close()
         try:
             os.unlink(self._path)

@@ -2,7 +2,11 @@
 the spawn-time fd-budget guard, and the lazy connection cache (dial on
 first send, LRU eviction with cooperative BYE, transparent re-dial)."""
 
+import os
+import shutil
 import threading
+import time
+import uuid
 
 import pytest
 
@@ -17,6 +21,7 @@ from repro.mpi.topology import (
 )
 from repro.mpi.transport.shm import intra_group_pairs
 from repro.mpi.transport.tcp import TcpTransport
+from repro.mpi.transport.uds import UdsTransport, socket_dir, socket_path
 
 
 class TestGroupMap:
@@ -260,3 +265,48 @@ class TestLazyStreamFabric:
         finally:
             for e in endpoints:
                 e.close()
+
+
+class TestGoodbyeNeverDials:
+    """``close()`` says goodbye only on channels that exist right now."""
+
+    def test_close_after_peer_left_finishes_promptly(self, monkeypatch):
+        import socket
+
+        from repro.mpi.comm import Comm, Endpoint
+        from repro.mpi.group import Group
+
+        # Bound the damage if close() ever dials again: the departed
+        # peer's socket file is gone, so a dial retries ENOENT for the
+        # whole dial timeout.
+        monkeypatch.setenv("OMBPY_DIAL_TIMEOUT", "10")
+        job = f"goodbye-{uuid.uuid4().hex[:8]}"
+        t0 = UdsTransport(0, 2, job)
+        # Rank 1 is a bare listener standing in for a peer process.
+        peer = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
+        peer.bind(socket_path(job, 1))
+        peer.listen(1)
+        try:
+            t0.establish_mesh()
+            endpoint = Endpoint(t0)
+            Comm(endpoint, Group([0, 1])).send_bytes(b"hi", 1, 1)
+            assert t0.connected_peers() == [1]
+
+            # The peer exits: its connection ends and its socket file goes.
+            conn, _addr = peer.accept()
+            conn.shutdown(socket.SHUT_RDWR)
+            conn.close()
+            peer.close()
+            os.unlink(socket_path(job, 1))
+            assert _wait_for(lambda: t0.connected_peers() == [])
+            # Pin the race: the channel dropped after close() took its
+            # snapshot of connected peers.
+            monkeypatch.setattr(t0._fabric, "connected", lambda: [1])
+            start = time.monotonic()
+            endpoint.close()
+            assert time.monotonic() - start < 2.0
+            assert t0.connection_stats()["dials"] == 1
+        finally:
+            peer.close()
+            t0.close()
+            shutil.rmtree(socket_dir(job), ignore_errors=True)

@@ -5,8 +5,10 @@ import threading
 import pytest
 
 from repro.mpi.constants import ANY_SOURCE, ANY_TAG
-from repro.mpi.exceptions import TruncationError
-from repro.mpi.matching import Envelope, MatchingEngine
+from repro.mpi.exceptions import (
+    CommRevokedError, RankFailedError, TruncationError,
+)
+from repro.mpi.matching import Envelope, MatchingEngine, RecvTicket
 from repro.mpi.status import Status
 
 
@@ -203,3 +205,144 @@ class TestConcurrency:
             t.wait(timeout=5)
         assert eng.pending_posted() == 0
         assert eng.pending_unexpected() == 0
+
+
+def _wait_in_thread(ticket, timeout=10.0):
+    """Block in ``ticket.wait`` on a thread; returns (thread, outcome)."""
+    outcome = {}
+
+    def run():
+        try:
+            outcome["payload"] = ticket.wait(timeout)
+        except Exception as exc:  # noqa: BLE001 - recorded for the test
+            outcome["error"] = exc
+
+    th = threading.Thread(target=run, daemon=True)
+    th.start()
+    return th, outcome
+
+
+def _until_blocked(th):
+    """Give a waiter thread time to park on the latch."""
+    th.join(0.1)
+    assert th.is_alive(), "waiter returned before the ticket completed"
+
+
+class TestLatch:
+    """RecvTicket's one-shot latch: every completion path wakes waiters."""
+
+    def test_completion_before_wait(self):
+        eng = MatchingEngine()
+        t = eng.post_recv(0, 0, 1, 10)
+        eng.deliver(env(nbytes=2), b"ok")
+        assert t.done()
+        assert t.wait_done(0) is True
+        assert t.wait(timeout=0) == b"ok"
+        assert t.wait() == b"ok"  # waiting again passes too
+
+    def test_timeout_then_later_delivery(self):
+        eng = MatchingEngine()
+        t = eng.post_recv(0, 0, 1, 10)
+        with pytest.raises(TimeoutError, match="timed out"):
+            t.wait(timeout=0.05)
+        assert t.wait_done(0) is False
+        assert not t.done()
+        eng.deliver(env(nbytes=3), b"yes")
+        assert t.wait(timeout=5) == b"yes"
+
+    def test_delivery_wakes_blocked_waiter(self):
+        eng = MatchingEngine()
+        t = eng.post_recv(0, 0, 1, 10)
+        th, outcome = _wait_in_thread(t)
+        _until_blocked(th)
+        eng.deliver(env(nbytes=1), b"x")
+        th.join(5)
+        assert not th.is_alive()
+        assert outcome == {"payload": b"x"}
+
+    @pytest.mark.parametrize("how", [
+        "fail", "cancel", "revoke_context", "set_failure",
+    ])
+    def test_every_completion_path_wakes_blocked_waiter(self, how):
+        eng = MatchingEngine()
+        # "fail" drives the ticket directly, so it must not be posted.
+        t = RecvTicket(0, 0, 1, 10) if how == "fail" else eng.post_recv(
+            0, 0, 1, 10
+        )
+        th, outcome = _wait_in_thread(t)
+        _until_blocked(th)
+        boom = RankFailedError("peer died", rank=0)
+        if how == "fail":
+            t.fail(boom)
+        elif how == "cancel":
+            assert eng.cancel_recv(t)
+        elif how == "revoke_context":
+            assert eng.revoke_context(0)
+        else:
+            eng.set_failure(boom)
+        th.join(5)
+        assert not th.is_alive(), f"{how} did not wake the waiter"
+        assert t.done()
+        if how == "cancel":
+            assert outcome == {"payload": b""}
+        elif how == "revoke_context":
+            assert isinstance(outcome["error"], CommRevokedError)
+        else:
+            assert outcome["error"] is boom
+
+    def test_two_waiters_on_one_ticket_both_return(self):
+        eng = MatchingEngine()
+        t = eng.post_recv(0, 0, 1, 10)
+        waiters = [_wait_in_thread(t) for _ in range(2)]
+        for th, _outcome in waiters:
+            _until_blocked(th)
+        eng.deliver(env(nbytes=2), b"hi")
+        for th, outcome in waiters:
+            th.join(5)
+            assert not th.is_alive()
+            assert outcome == {"payload": b"hi"}
+
+    def test_stress_more_waiters_than_cores(self):
+        """Every message reaches its receiver, in order, under heavy
+        preemption (a lost latch release would hang a waiter)."""
+        import sys
+
+        eng = MatchingEngine()
+        per_thread, n_threads = 200, 8
+        got: dict[int, list[bytes]] = {tag: [] for tag in range(n_threads)}
+
+        def receiver(tag):
+            for _ in range(per_thread):
+                got[tag].append(eng.post_recv(0, ANY_SOURCE, tag, 8).wait(10))
+
+        old = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [
+                threading.Thread(target=receiver, args=(tag,), daemon=True)
+                for tag in range(n_threads)
+            ]
+            for th in threads:
+                th.start()
+            for i in range(per_thread):
+                for tag in range(n_threads):
+                    eng.deliver(env(tag=tag, nbytes=8), b"%08d" % i)
+            for th in threads:
+                th.join(30)
+        finally:
+            sys.setswitchinterval(old)
+        assert not any(th.is_alive() for th in threads)
+        expected = [b"%08d" % i for i in range(per_thread)]
+        assert all(got[tag] == expected for tag in range(n_threads))
+        assert eng.pending_posted() == 0 and eng.pending_unexpected() == 0
+
+    def test_verifier_slice_wait_reports_two_rank_deadlock(self):
+        from repro.analysis import DeadlockError, verify
+        from repro.mpi.world import run_on_threads
+
+        def body(comm):
+            with verify(comm, grace=0.1, op_timeout=5.0):
+                comm.recv_bytes(1 - comm.rank, 7, 64)
+
+        with pytest.raises(DeadlockError, match="deadlock detected"):
+            run_on_threads(2, body, timeout=30)
